@@ -1,7 +1,6 @@
 package repro.bench
 
-import repro.gen.StreamGen
-import repro.harness.{Harness, Workloads}
+import repro.harness.Tables
 
 /** T2 (Fig 8 left): A1;A2;A3 where A3 never occurs — systems accumulate
   * partial matches but never fire; windows T ∈ {50,100,150,200} events.
@@ -12,15 +11,8 @@ import repro.harness.{Harness, Workloads}
 class Bench2SeqNoOutputSpec extends BenchBase {
 
   test("T2: sequence query without output") {
-    val base = StreamGen.randomStream(300000, Seq("A1", "A2")) // A3 hidden
-    Workloads.systems(Workloads.seqQuery(3, 100)).foreach { case (_, mk) => warmup(mk, base) }
-
-    val ms = for {
-      t <- Seq(50L, 100L, 150L, 200L)
-      (sys, mk) <- Workloads.systems(Workloads.seqQuery(3, t))
-    } yield run(sys, s"T=$t", mk, base)
-
-    println(Harness.table("T2 — sequence query without output (A3 hidden)", ms))
+    val ms = Tables.t2()
+    println(Tables.render("T2", ms))
 
     // (1) CORE is flat in the window size.
     assert(spread(ms, "CORE") < 4.0, s"CORE not flat: ${spread(ms, "CORE")}")

@@ -1,9 +1,6 @@
 package repro.bench
 
-import repro.core.ceql.Strategy
-import repro.core.engine.Engines
-import repro.gen.StreamGen
-import repro.harness.{Harness, Workloads}
+import repro.harness.Tables
 
 /** T3 (Fig 8 right): selection strategies on A1;A2;A3 with A3 hidden, T=100.
   * CORE runs ALL/NEXT/LAST/MAX; baselines run their default strategy.
@@ -14,17 +11,9 @@ import repro.harness.{Harness, Workloads}
 class Bench3SelectionSpec extends BenchBase {
 
   test("T3: selection strategies (no output)") {
-    val base = StreamGen.randomStream(300000, Seq("A1", "A2"))
-    val q = Workloads.seqQuery(3, 100)
-    warmup(() => Engines.core(q, 10), base)
-
-    val core = for (s <- Seq(Strategy.All, Strategy.Next, Strategy.Last, Strategy.Max))
-      yield run(s"CORE-$s", "T=100", () => Engines.core(q.copy(strategy = s), 10), base)
-    val others = for ((sys, mk) <- Workloads.systems(q).drop(1))
-      yield run(s"$sys-default", "T=100", mk, base)
-    val ms = core ++ others
-
-    println(Harness.table("T3 — selection strategies (A3 hidden, T=100)", ms))
+    val ms = Tables.t3()
+    println(Tables.render("T3", ms))
+    val (core, others) = ms.partition(_.system.startsWith("CORE-"))
 
     // (1) CORE's throughput is strategy-independent (same algorithm, §6).
     val coreThr = core.map(_.throughput)

@@ -1,7 +1,6 @@
 package repro.bench
 
-import repro.gen.StreamGen
-import repro.harness.{Harness, Workloads}
+import repro.harness.Tables
 
 /** T4 (Fig 9 left): iteration (K3 = A1;A2+;A3, K5) and disjunction
   * (D3 = A1;(A2 OR A2');A3, D5), window 100 events, with output.
@@ -13,24 +12,8 @@ import repro.harness.{Harness, Workloads}
 class Bench4OperatorsSpec extends BenchBase {
 
   test("T4: iteration and disjunction") {
-    val configs = Seq(
-      ("K3", Workloads.kleeneQuery(3, 100), Workloads.kleeneTypes(3)),
-      ("K5", Workloads.kleeneQuery(5, 100), Workloads.kleeneTypes(5)),
-      ("D3", Workloads.disjQuery(3, 100), Workloads.disjTypes(3)),
-      ("D5", Workloads.disjQuery(5, 100), Workloads.disjTypes(5)),
-    )
-    val streams = configs.map { case (c, _, types) =>
-      c -> StreamGen.randomStream(300000, types)
-    }.toMap
-    Workloads.systems(configs.head._2).foreach { case (_, mk) => warmup(mk, streams("K3")) }
-
-    val ms = for {
-      (cfg, q, _) <- configs
-      (sys, mk) <- Workloads.systems(q)
-      if !(sys == "SASE" && cfg.startsWith("D")) // SASE lacks disjunction (§6)
-    } yield run(sys, cfg, mk, streams(cfg))
-
-    println(Harness.table("T4 — iteration and disjunction (T=100)", ms))
+    val ms = Tables.t4()
+    println(Tables.render("T4", ms))
 
     // (1) CORE is stable across operators.
     assert(spread(ms, "CORE") < 10.0, s"CORE not stable: ${spread(ms, "CORE")}")

@@ -1,8 +1,6 @@
 package repro.bench
 
-import repro.core.ceql.Consume
-import repro.gen.StreamGen
-import repro.harness.{Harness, Workloads}
+import repro.harness.Tables
 
 /** T5 (Fig 9 right): appendix-C stock queries Q1–Q7 over the synthetic stock
   * stream (30 s time window ≈ 100 in-window events), consume-on-match.
@@ -14,17 +12,8 @@ import repro.harness.{Harness, Workloads}
 class Bench5StockSpec extends BenchBase {
 
   test("T5: stock market queries") {
-    val base = StreamGen.stockStream(300000)
-    val qs = (1 to 7).map(i => s"Q$i" -> Workloads.stockQuery(s"Q$i").copy(consume = Consume.Any))
-    Workloads.systems(qs.head._2).foreach { case (_, mk) => warmup(mk, base) }
-
-    val ms = for {
-      (qn, q) <- qs
-      (sys, mk) <- Workloads.systems(q)
-      if !(sys == "SASE" && Set("Q4", "Q5", "Q6", "Q7").contains(qn)) // no disjunction in SASE
-    } yield run(sys, qn, mk, base)
-
-    println(Harness.table("T5 — stock market queries (WITHIN 30s)", ms))
+    val ms = Tables.t5()
+    println(Tables.render("T5", ms))
 
     // (1) CORE is stable across all seven queries.
     assert(spread(ms, "CORE") < 20.0, s"CORE not stable: ${spread(ms, "CORE")}")

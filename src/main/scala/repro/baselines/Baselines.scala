@@ -3,7 +3,7 @@ package repro.baselines
 import repro.core.{ComplexEvent, Ev}
 import repro.core.cea.{Cea, Compiler}
 import repro.core.ceql.{CeqlQuery, Consume, Window}
-import repro.core.engine.{Engines, PartitionedEngine, StreamEngine}
+import repro.core.engine.{Engines, StreamEngine}
 import repro.core.pred.AtomRegistry
 import scala.collection.mutable
 
@@ -166,18 +166,15 @@ final class FlinkCepEngine(cea: Cea, reg: AtomRegistry, window: Window,
 
 /** Factories mirroring [[repro.core.engine.Engines.core]]. */
 object Baselines {
-  private def build(q: CeqlQuery, limit: Int,
-                    mk: (Cea, AtomRegistry) => StreamEngine): StreamEngine = {
+  private def build(q: CeqlQuery, mk: (Cea, AtomRegistry) => StreamEngine): StreamEngine = {
     val (cea, reg) = Compiler.compile(q.pattern)
-    val f = () => mk(cea, reg)
-    if (q.partitionBy.nonEmpty) new PartitionedEngine(f, Engines.partKeyFn(q.partitionBy))
-    else f()
+    Engines.partitioned(q, () => mk(cea, reg))
   }
   def sase(q: CeqlQuery, limit: Int = -1): StreamEngine =
-    build(q, limit, new SaseEngine(_, _, q.within, q.consume, limit))
+    build(q, new SaseEngine(_, _, q.within, q.consume, limit))
   def esper(q: CeqlQuery, limit: Int = -1): StreamEngine =
-    build(q, limit, new EsperEngine(_, _, q.within, q.consume, limit))
+    build(q, new EsperEngine(_, _, q.within, q.consume, limit))
   /** The paper only prints the first match for FlinkCEP (Fig 7 footnote). */
   def flink(q: CeqlQuery, limit: Int = 1): StreamEngine =
-    build(q, limit, new FlinkCepEngine(_, _, q.within, q.consume, limit))
+    build(q, new FlinkCepEngine(_, _, q.within, q.consume, limit))
 }

@@ -85,7 +85,7 @@ object Compiler {
         val (t, i, fl) = go(inner)
         val q = b.fresh()
         val intoHub  = t.filter(tr => fl.contains(tr.to)).map(_.copy(to = q))
-        val outOfHub = t.filter(tr => i.contains(tr.from)).map(_.copy(from = q))
+        val outOfHub = (t ++ intoHub).filter(tr => i.contains(tr.from)).map(_.copy(from = q))
         val hubSkip  = Vector(VTrans(q, PTrue, Set.empty, q))
         (t ++ intoHub ++ outOfHub ++ hubSkip, i, fl)
 

@@ -1,5 +1,6 @@
 package repro.core.engine
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import repro.core.{ComplexEvent, Ev}
 import repro.core.cea.{Compiler, Determinizer}
 import repro.core.ceql._
@@ -229,9 +230,27 @@ object Engines {
     coreFromDet(det, q, limit)
   }
 
-  def coreFromDet(det: Determinizer, q: CeqlQuery, limit: Int): StreamEngine = {
-    val mk = () => new CoreEngine(det, q.within, q.strategy, q.consume, limit)
+  def coreFromDet(det: Determinizer, q: CeqlQuery, limit: Int): StreamEngine =
+    partitioned(q, () => new CoreEngine(det, q.within, q.strategy, q.consume, limit))
+
+  /** One engine from `mk` per PARTITION BY key, or a single one if the query
+    * has no PARTITION BY. */
+  def partitioned(q: CeqlQuery, mk: () => StreamEngine): StreamEngine =
     if (q.partitionBy.nonEmpty) new PartitionedEngine(mk, partKeyFn(q.partitionBy)) else mk()
+
+  /** The one encoder for engine state: Java serialization of the whole
+    * engine. Spark's per-key streaming state and the measured state size
+    * both use it. */
+  def serialize(engine: StreamEngine): Array[Byte] = {
+    val bos = new ByteArrayOutputStream()
+    val oos = new ObjectOutputStream(bos)
+    oos.writeObject(engine); oos.close()
+    bos.toByteArray
+  }
+
+  def deserialize(bytes: Array[Byte]): StreamEngine = {
+    val ois = new ObjectInputStream(new ByteArrayInputStream(bytes))
+    try ois.readObject().asInstanceOf[StreamEngine] finally ois.close()
   }
 
   /** Keep only set-inclusion-maximal complex events (MAX strategy filter). */

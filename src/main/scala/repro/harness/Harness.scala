@@ -1,12 +1,13 @@
 package repro.harness
 
 import repro.core.Ev
-import repro.core.engine.StreamEngine
+import repro.core.engine.{Engines, StreamEngine}
 
 /** One benchmark measurement (≈ one bar of the paper's Figures 7–9).
   *
   * Throughputs in events/s; `updateThroughput` excludes enumeration time and
   * `enumThroughput` is outputs per enumeration-second (the Fig-7 split).
+  * `stateKB` is the T1 memory column, from [[Harness.statePeakKB]] (0 elsewhere).
   */
 final case class Measurement(
     system: String,
@@ -15,7 +16,7 @@ final case class Measurement(
     matches: Long,
     seconds: Double,
     enumSeconds: Double,
-    memMB: Double,
+    stateKB: Double,
 ) {
   def throughput: Double = events / seconds
   def updateThroughput: Double = events / math.max(1e-9, seconds - enumSeconds)
@@ -32,8 +33,7 @@ object Harness {
   val budgetMs: Long = sys.env.getOrElse("BENCH_MS", "1000").toLong
 
   def measure(system: String, config: String, engine: StreamEngine,
-              stream: Iterator[Ev], budgetMs: Long = budgetMs,
-              measureMem: Boolean = false): Measurement = {
+              stream: Iterator[Ev], budgetMs: Long): Measurement = {
     var events = 0L
     var matches = 0L
     val t0 = System.nanoTime()
@@ -45,32 +45,7 @@ object Harness {
       if ((events & 255) == 0 && System.nanoTime() > deadline) continue = false
     }
     val seconds = (System.nanoTime() - t0) / 1e9
-    val mem =
-      if (measureMem) { System.gc(); Thread.sleep(50)
-        (Runtime.getRuntime.totalMemory() - Runtime.getRuntime.freeMemory()) / 1e6 }
-      else 0.0
-    Measurement(system, config, events, matches, seconds, engine.enumNanos / 1e9, mem)
-  }
-
-  /** Memory profile per the paper's §6 setup: run separately from the
-    * throughput measurement, sample used heap every `sampleEvery` events
-    * after calling the GC, and report the average (MB).
-    */
-  def memoryProfile(engine: StreamEngine, stream: Iterator[Ev],
-                    events: Long, sampleEvery: Long = 10000): Double = {
-    var n = 0L
-    var samples = 0L
-    var totalMb = 0.0
-    while (n < events && stream.hasNext) {
-      engine.onEvent(stream.next())
-      n += 1
-      if (n % sampleEvery == 0) {
-        System.gc()
-        totalMb += (Runtime.getRuntime.totalMemory() - Runtime.getRuntime.freeMemory()) / 1e6
-        samples += 1
-      }
-    }
-    if (samples == 0) 0.0 else totalMb / samples
+    Measurement(system, config, events, matches, seconds, engine.enumNanos / 1e9, stateKB = 0)
   }
 
   /** Peak partial-match state, measured as the serialized engine size (KB),
@@ -86,30 +61,24 @@ object Harness {
     while (n < events && stream.hasNext) {
       engine.onEvent(stream.next())
       n += 1
-      if (n % sampleEvery == 0) {
-        val bos = new java.io.ByteArrayOutputStream()
-        val oos = new java.io.ObjectOutputStream(bos)
-        oos.writeObject(engine); oos.close()
-        peak = math.max(peak, bos.size())
-      }
+      if (n % sampleEvery == 0) peak = math.max(peak, Engines.serialize(engine).length)
     }
     peak / 1024.0
   }
 
-  /** Render measurements as a GitHub-flavoured markdown table. */
-  def table(title: String, ms: Seq[Measurement], showMem: Boolean = false,
-            showSplit: Boolean = false): String = {
+  /** Render measurements as a GitHub-flavoured markdown table. `fig7` adds
+    * T1's extra columns: the update/enumeration split and the peak state.
+    */
+  def table(title: String, ms: Seq[Measurement], fig7: Boolean = false): String = {
     val sb = new StringBuilder
     sb ++= s"\n### $title\n\n"
     val cols = Seq("system", "config", "events", "matches", "throughput e/s") ++
-      (if (showSplit) Seq("update e/s", "enum out/s") else Nil) ++
-      (if (showMem) Seq("peak state KB") else Nil)
+      (if (fig7) Seq("update e/s", "enum out/s", "peak state KB") else Nil)
     sb ++= cols.mkString("| ", " | ", " |\n")
     sb ++= cols.map(_ => "---").mkString("| ", " | ", " |\n")
     for (m <- ms) {
       val row = Seq(m.system, m.config, m.events.toString, m.matches.toString, f"${m.throughput}%.0f") ++
-        (if (showSplit) Seq(f"${m.updateThroughput}%.0f", f"${m.enumThroughput}%.0f") else Nil) ++
-        (if (showMem) Seq(f"${m.memMB}%.1f") else Nil)
+        (if (fig7) Seq(f"${m.updateThroughput}%.0f", f"${m.enumThroughput}%.0f", f"${m.stateKB}%.1f") else Nil)
       sb ++= row.mkString("| ", " | ", " |\n")
     }
     sb.toString

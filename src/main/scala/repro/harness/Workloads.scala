@@ -36,7 +36,6 @@ object Workloads {
       CountWindow(window), consume)
   }
 
-  def kleeneTypes(n: Int): Seq[String] = seqTypes(n)
   def disjTypes(n: Int): Seq[String] =
     (1 to n).flatMap(i => if (i % 2 == 0) Seq(s"A$i", s"A$i'") else Seq(s"A$i"))
 
@@ -91,10 +90,10 @@ object Workloads {
   /** All four systems as (name, engine-factory) pairs. Per the paper's setup,
     * the per-event output limit is 10 except FlinkCEP (1).
     */
-  def systems(q: CeqlQuery, limit: Int = 10): Seq[(String, () => StreamEngine)] = Seq(
-    "CORE"     -> (() => Engines.core(q, limit)),
-    "SASE"     -> (() => Baselines.sase(q, limit)),
-    "Esper"    -> (() => Baselines.esper(q, limit)),
+  def systems(q: CeqlQuery): Seq[(String, () => StreamEngine)] = Seq(
+    "CORE"     -> (() => Engines.core(q, 10)),
+    "SASE"     -> (() => Baselines.sase(q, 10)),
+    "Esper"    -> (() => Baselines.esper(q, 10)),
     "FlinkCEP" -> (() => Baselines.flink(q, 1)),
   )
 }

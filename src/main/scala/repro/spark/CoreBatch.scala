@@ -1,10 +1,10 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, KeyValueGroupedDataset}
 import org.apache.spark.sql.functions._
 import repro.core.Ev
 import repro.core.ceql.CeqlQuery
-import repro.core.engine.Engines
+import repro.core.engine.{Engines, StreamEngine}
 
 /** One recognized complex event, flattened for DataFrame output.
   * `data` is the comma-joined ascending position list.
@@ -20,16 +20,30 @@ object CoreBatch {
   def evaluate(events: Dataset[Ev], q: CeqlQuery, limit: Int = -1): Dataset[MatchRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    val keyFn: Ev => String =
-      if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
-    val perGroup = q.copy(partitionBy = Nil)
-    events.groupByKey(keyFn).flatMapGroups { (key: String, it: Iterator[Ev]) =>
-      val engine = Engines.core(perGroup, limit)
-      it.toArray.sortBy(_.idx).iterator
-        .flatMap(engine.onEvent)
-        .map(ce => MatchRow(key, ce.start, ce.end, ce.data.mkString(",")))
+    val (groups, perGroup) = grouped(events, q)
+    groups.flatMapGroups { (key: String, it: Iterator[Ev]) =>
+      matches(Engines.core(perGroup, limit), key, it)
     }
   }
+
+  /** Groups `events` by the PARTITION BY key (one group if there is none) and
+    * returns the query each group runs, which has no PARTITION BY left.
+    * Shared with [[CoreStreaming]].
+    */
+  private[spark] def grouped(events: Dataset[Ev],
+                             q: CeqlQuery): (KeyValueGroupedDataset[String, Ev], CeqlQuery) = {
+    val spark = events.sparkSession
+    import spark.implicits._
+    val keyFn: Ev => String =
+      if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
+    (events.groupByKey(keyFn), q.copy(partitionBy = Nil))
+  }
+
+  /** Runs one group's events through `engine` in stream order. */
+  private[spark] def matches(engine: StreamEngine, key: String, it: Iterator[Ev]): Iterator[MatchRow] =
+    it.toArray.sortBy(_.idx).iterator
+      .flatMap(engine.onEvent)
+      .map(ce => MatchRow(key, ce.start, ce.end, ce.data.mkString(",")))
 
   /** Expand `data` ("p1,p2,...,pn") into long columns p1..pn — the shape the
     * DuckDB oracle joins produce for fixed-length patterns.

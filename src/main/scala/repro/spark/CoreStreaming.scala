@@ -1,6 +1,5 @@
 package repro.spark
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.Ev
@@ -24,33 +23,14 @@ object CoreStreaming {
   def evaluate(events: Dataset[Ev], q: CeqlQuery, limit: Int = -1): Dataset[MatchRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    val keyFn: Ev => String =
-      if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
-    val perGroup = q.copy(partitionBy = Nil)
-    events
-      .groupByKey(keyFn)
-      .flatMapGroupsWithState[Array[Byte], MatchRow](OutputMode.Append, GroupStateTimeout.NoTimeout) {
-        (key: String, it: Iterator[Ev], state: GroupState[Array[Byte]]) =>
-          val engine: StreamEngine =
-            state.getOption.map(deserialize).getOrElse(Engines.core(perGroup, limit))
-          val out = it.toArray.sortBy(_.idx).iterator
-            .flatMap(engine.onEvent)
-            .map(ce => MatchRow(key, ce.start, ce.end, ce.data.mkString(",")))
-            .toVector
-          state.update(serialize(engine))
-          out.iterator
-      }
-  }
-
-  private[spark] def serialize(engine: StreamEngine): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val oos = new ObjectOutputStream(bos)
-    oos.writeObject(engine); oos.close()
-    bos.toByteArray
-  }
-
-  private[spark] def deserialize(bytes: Array[Byte]): StreamEngine = {
-    val ois = new ObjectInputStream(new ByteArrayInputStream(bytes))
-    try ois.readObject().asInstanceOf[StreamEngine] finally ois.close()
+    val (groups, perGroup) = CoreBatch.grouped(events, q)
+    groups.flatMapGroupsWithState[Array[Byte], MatchRow](OutputMode.Append, GroupStateTimeout.NoTimeout) {
+      (key: String, it: Iterator[Ev], state: GroupState[Array[Byte]]) =>
+        val engine: StreamEngine =
+          state.getOption.map(Engines.deserialize).getOrElse(Engines.core(perGroup, limit))
+        val out = CoreBatch.matches(engine, key, it).toVector
+        state.update(Engines.serialize(engine))
+        out.iterator
+    }
   }
 }

@@ -6,8 +6,8 @@ import org.apache.spark.sql.types._
 import repro.core.Ev
 import repro.gen.StreamGen
 
-/** Spark-side event-stream datasets (the SynthData-style generators for the
-  * CER domain; see DESIGN.md §3 for the dataset substitutions).
+/** Spark-side event-stream datasets for the CER domain (see DESIGN.md §3
+  * for the dataset substitutions).
   *
   * Two flavours:
   *  - `fromArray` lifts the deterministic JVM generators — used by tests so
@@ -54,7 +54,4 @@ object SparkStreams {
       (((rand(seed + 3) * nVolumes).cast(IntegerType) + 1) * 100).cast(DoubleType) as "volume",
     ).as[Ev]
   }
-
-  /** Events as a plain DataFrame with all-scalar columns, for the oracle. */
-  def asTable(events: Dataset[Ev]) = events.toDF()
 }

@@ -99,6 +99,28 @@ class EngineSpec extends AnyFunSuite {
       Cel.seq(CAtom("A"), CPlus(CAtom("B")), CAtom("C"))), evs))
   }
 
+  // Expected sets below are written out by hand from the §3 semantics, not
+  // computed by BruteForce, which runs the same compiled automaton.
+
+  test("kleene plus iterates more than twice: B+ over B B B B is every non-empty subset") {
+    val got = coreMatches(query(CPlus(CAtom("B"))), stream("B", "B", "B", "B"))
+    assert(got.map(_.data) == Set[List[Long]](
+      List(0), List(1), List(2), List(3),
+      List(0, 1), List(0, 2), List(0, 3), List(1, 2), List(1, 3), List(2, 3),
+      List(0, 1, 2), List(0, 1, 3), List(0, 2, 3), List(1, 2, 3),
+      List(0, 1, 2, 3)))
+    assert(got.forall(ce => ce.start == ce.data.head && ce.end == ce.data.last))
+  }
+
+  test("kleene plus over a sequence: (A;B)+ over A B A B") {
+    val got = coreMatches(query(CPlus(Cel.seqOfTypes("A", "B"))), stream("A", "B", "A", "B"))
+    assert(got == Set(
+      ComplexEvent(0, 1, List(0, 1)),
+      ComplexEvent(0, 3, List(0, 3)),
+      ComplexEvent(2, 3, List(2, 3)),
+      ComplexEvent(0, 3, List(0, 1, 2, 3))))
+  }
+
   // ---------------------------------------------------------------- filters
 
   test("filter restricts bound variable") {

@@ -27,7 +27,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("throughput fields are consistent") {
     val m = Measurement("s", "c", events = 1000, matches = 10, seconds = 2.0,
-      enumSeconds = 0.5, memMB = 0)
+      enumSeconds = 0.5, stateKB = 0)
     assert(m.throughput == 500.0)
     assert(math.abs(m.updateThroughput - 1000 / 1.5) < 1e-9)
     assert(m.enumThroughput == 20.0)
@@ -42,7 +42,7 @@ class HarnessSpec extends AnyFunSuite {
     val m = Measurement("core", "n=3", 100, 5, 1.0, 0.1, 42.0)
     val basic = Harness.table("T", Seq(m))
     assert(basic.contains("| core | n=3 | 100 | 5 |"))
-    val full = Harness.table("T", Seq(m), showMem = true, showSplit = true)
+    val full = Harness.table("T", Seq(m), fig7 = true)
     assert(full.contains("update e/s") && full.contains("peak state KB"))
     assert(full.contains("42.0"))
   }

@@ -87,7 +87,7 @@ class CoreStreamingSpec extends SparkSpec {
     val e1 = Engines.core(q)
     val evs = stream("A", "C", "A")
     evs.foreach(e1.onEvent)
-    val e2 = CoreStreaming.deserialize(CoreStreaming.serialize(e1))
+    val e2 = Engines.deserialize(Engines.serialize(e1))
     val out = e2.onEvent(Ev(3, 3, "B", "NB", 30.0, 0.0))
     assert(out.map(ce => (ce.start, ce.data)).toSet ==
       Set((0L, List(0L, 3L)), (2L, List(2L, 3L))))
@@ -101,9 +101,9 @@ class CoreStreamingSpec extends SparkSpec {
     var size1k = 0
     evs.zipWithIndex.foreach { case (ev, i) =>
       e.onEvent(ev)
-      if (i == 999) size1k = CoreStreaming.serialize(e).length
+      if (i == 999) size1k = Engines.serialize(e).length
     }
-    val size2k = CoreStreaming.serialize(e).length
+    val size2k = Engines.serialize(e).length
     // expired tECS nodes must have been dropped: state does not grow with
     // stream length, only with window content
     assert(size2k < size1k * 2, s"state grew: $size1k -> $size2k")

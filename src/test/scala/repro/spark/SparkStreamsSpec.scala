@@ -41,8 +41,8 @@ class SparkStreamsSpec extends SparkSpec {
     assert(evs.exists(_.price > 26.0) && evs.exists(_.price <= 26.0))
   }
 
-  test("asTable exposes the six scalar columns the oracle expects") {
-    val df = SparkStreams.asTable(SparkStreams.stockStream(spark, 10))
+  test("toDF exposes the six scalar columns the oracle expects") {
+    val df = SparkStreams.stockStream(spark, 10).toDF()
     assert(df.columns.toSet == Set("idx", "ts", "etype", "name", "price", "volume"))
   }
 
@@ -51,31 +51,5 @@ class SparkStreamsSpec extends SparkSpec {
     val q = repro.harness.Workloads.seqQuery(3, 30, repro.core.ceql.Consume.None)
     val n = CoreBatch.evaluate(ds, q).count()
     assert(n > 0)
-  }
-
-  test("SynthData orders can be lifted into an event stream and queried") {
-    // Reuse the provided TPC-H-lite generator as an event source: each order
-    // becomes an event typed by its status, keyed by customer, priced by
-    // total — then a CEQL pattern runs over it like any other stream.
-    import org.apache.spark.sql.functions._
-    import spark.implicits._
-    val events = repro.SynthData.orders(spark, sf = 0.001)
-      .orderBy("o_orderkey")
-      .select(
-        (col("o_orderkey") - 1)  as "idx",
-        (col("o_orderkey") - 1)  as "ts",
-        col("o_orderstatus")     as "etype", // O / F / P as event types
-        concat(lit("C"), col("o_custkey") % 10) as "name",
-        col("o_totalprice")      as "price",
-        (col("o_custkey") % 5).cast("double") as "volume",
-      ).as[repro.core.Ev]
-    val q = repro.core.ceql.CeqlParser.parse(
-      "SELECT * FROM Orders WHERE O as a; P as b FILTER a[price > 250000] WITHIN 20 events")
-    val got = CoreBatch.positionsAsCols(CoreBatch.evaluate(events, q), 2)
-    val sql = SqlOracle.sequenceSql(
-      Seq(SqlOracle.AtomSpec(Seq("O"), Seq(SqlOracle.NumCmp("price", ">", 250000))),
-          SqlOracle.AtomSpec(Seq("P"))),
-      countEps = Some(20L), timeEps = None)
-    repro.Oracle.assertEquivalent(got, sql, "events" -> events.toDF())
   }
 }
